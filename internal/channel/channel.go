@@ -16,6 +16,7 @@
 package channel
 
 import (
+	"errors"
 	"net"
 
 	"repro/internal/principal"
@@ -47,6 +48,11 @@ type Conn interface {
 type Dialer interface {
 	Dial(addr string) (Conn, error)
 }
+
+// ErrHandshake marks an Accept error confined to one connection: the
+// peer connected but its channel handshake failed. The listener itself
+// still works, so servers log such errors and keep accepting.
+var ErrHandshake = errors.New("channel: handshake failed")
 
 // Listener accepts authenticated connections.
 type Listener interface {

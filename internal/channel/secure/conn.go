@@ -221,13 +221,19 @@ func Listen(addr string, id *Identity) (*Listener, error) {
 	return &Listener{ID: id, L: l}, nil
 }
 
-// Accept implements channel.Listener.
+// Accept implements channel.Listener. A failed handshake closes that
+// connection and returns an error wrapping channel.ErrHandshake.
 func (l *Listener) Accept() (channel.Conn, error) {
 	raw, err := l.L.Accept()
 	if err != nil {
 		return nil, err
 	}
-	return Server(raw, l.ID)
+	peer := raw.RemoteAddr()
+	c, err := Server(raw, l.ID)
+	if err != nil {
+		return nil, fmt.Errorf("%w with %s: %w", channel.ErrHandshake, peer, err)
+	}
+	return c, nil
 }
 
 // Close implements channel.Listener.

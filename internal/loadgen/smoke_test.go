@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/prover"
 )
 
 // TestRunSmokeMesh drives a shrunken smoke profile end to end — real
@@ -86,4 +87,40 @@ func TestRunSmokeMesh(t *testing.T) {
 	if rep.Counters["violations"] != 0 {
 		t.Fatalf("violations counter = %v", rep.Counters["violations"])
 	}
+}
+
+// TestRunWideOrgMesh gives the database more orgs than the prover's
+// per-admit query budget (DefaultRemoteFanout): discovery that walked
+// every org the database delegates to would run out of budget before
+// reaching a principal's grant and deny it. Every principal must be
+// admitted cold with zero violations.
+func TestRunWideOrgMesh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a full mesh")
+	}
+	cfg := Smoke()
+	cfg.Gateways = 1
+	cfg.Principals = 100
+	cfg.Orgs = 75
+	cfg.WarmOps = 20
+	cfg.PublishOps = 1
+	cfg.Revocations = 1
+	cfg.Concurrency = 2
+	cfg.ChurnWorkers = 0
+	cfg.GossipInterval = 100 * time.Millisecond
+	if cfg.Orgs <= prover.DefaultRemoteFanout {
+		t.Fatalf("orgs %d must exceed the fanout budget %d", cfg.Orgs, prover.DefaultRemoteFanout)
+	}
+
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) != 0 {
+		t.Fatalf("correctness violations:\n%s", res.Summary())
+	}
+	if n := res.Flows[FlowCold].Count; n != uint64(cfg.Principals) {
+		t.Fatalf("admitted %d of %d principals cold", n, cfg.Principals)
+	}
+	t.Logf("remote queries: %d for %d cold admits", res.ProverStats["remote_queries"], cfg.Principals)
 }

@@ -205,14 +205,17 @@ type Prover struct {
 }
 
 type edge struct {
-	subject  principal.Principal
-	issuer   principal.Principal
-	proof    core.Proof
-	shortcut bool
-	hash     [32]byte
-	expiry   time.Time // conclusion's NotAfter; zero when unbounded
-	bucket   string    // conclusion tag's bucket key, when bucketed
-	bucketed bool
+	subject principal.Principal
+	issuer  principal.Principal
+	// subjectKey caches subject.Key(): the search visits edges far more
+	// often than it inserts them, and Key() rebuilds the wire form.
+	subjectKey string
+	proof      core.Proof
+	shortcut   bool
+	hash       [32]byte
+	expiry     time.Time // conclusion's NotAfter; zero when unbounded
+	bucket     string    // conclusion tag's bucket key, when bucketed
+	bucketed   bool
 }
 
 // New returns an empty Prover.
@@ -270,7 +273,7 @@ func (p *Prover) addEdge(pr core.Proof, shortcut bool) bool {
 	c := pr.Conclusion()
 	ik := c.Issuer.Key()
 	e := &edge{
-		subject: c.Subject, issuer: c.Issuer, proof: pr,
+		subject: c.Subject, issuer: c.Issuer, subjectKey: c.Subject.Key(), proof: pr,
 		shortcut: shortcut, hash: h, expiry: c.Validity.NotAfter,
 	}
 	e.bucket, e.bucketed = c.Tag.Bucket()
@@ -452,25 +455,27 @@ func (p *Prover) find(subject, issuer principal.Principal, want tag.Tag, now tim
 
 	type reach struct {
 		node principal.Principal
+		key  string // node.Key()
 		// proof of node => issuer; nil at the issuer itself.
 		path core.Proof
 		// hops counts graph edges on the path; single-hop results are
 		// already edges and need no shortcut recording.
 		hops int
 	}
-	visited := map[string]bool{issuer.Key(): true}
-	queue := []reach{{node: issuer}}
+	subjectKey, issuerKey := subject.Key(), issuer.Key()
+	visited := map[string]bool{issuerKey: true}
+	queue := []reach{{node: issuer, key: issuerKey}}
 
 	// tryComplete attempts to finish the proof at a reached node. It
 	// runs with no locks held: minting through a closure is a signing
 	// operation and must not serialize concurrent searches.
 	tryComplete := func(r reach) (core.Proof, bool) {
 		// (a) Reached the subject itself.
-		if principal.Equal(r.node, subject) && r.path != nil {
+		if r.key == subjectKey && r.path != nil {
 			return r.path, true
 		}
 		// (b) Reached a final (closure-backed) node: mint the last hop.
-		if cl, ok := p.closureFor(r.node.Key()); ok {
+		if cl, ok := p.closureFor(r.key); ok {
 			minted, err := cl.Delegate(subject, want, core.Between(now.Add(-time.Minute), now.Add(p.MintTTL)))
 			if err == nil {
 				p.stats.minted.Add(1)
@@ -554,11 +559,11 @@ func (p *Prover) find(subject, issuer principal.Principal, want tag.Tag, now tim
 			}
 			return proof, nil
 		}
-		for _, e := range p.edgesFor(cur.node.Key(), want) {
+		for _, e := range p.edgesFor(cur.key, want) {
 			if p.DisableShortcuts && e.shortcut {
 				continue
 			}
-			if visited[e.subject.Key()] {
+			if visited[e.subjectKey] {
 				continue
 			}
 			ec := e.proof.Conclusion()
@@ -578,8 +583,8 @@ func (p *Prover) find(subject, issuer principal.Principal, want tag.Tag, now tim
 			if e.shortcut {
 				p.stats.shortcutHits.Add(1)
 			}
-			visited[e.subject.Key()] = true
-			queue = append(queue, reach{node: e.subject, path: path, hops: cur.hops + 1})
+			visited[e.subjectKey] = true
+			queue = append(queue, reach{node: e.subject, key: e.subjectKey, path: path, hops: cur.hops + 1})
 		}
 	}
 	return nil, fmt.Errorf("prover: no proof that %s speaks for %s regarding %s",
@@ -627,7 +632,7 @@ func (p *Prover) Principals() []principal.Principal {
 		sh.mu.RLock()
 		for _, es := range sh.edges {
 			for _, e := range es.all {
-				seen[e.subject.Key()] = e.subject
+				seen[e.subjectKey] = e.subject
 				seen[e.issuer.Key()] = e.issuer
 			}
 		}

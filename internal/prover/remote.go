@@ -2,6 +2,7 @@ package prover
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"time"
 
@@ -87,22 +88,33 @@ func (p *Prover) AddRemote(r RemoteSource) {
 	p.remotes = append(p.remotes, r)
 }
 
+// node is a principal with its cached Key(), so planning a round does
+// not rebuild wire forms the search already derived.
+type node struct {
+	prin principal.Principal
+	key  string
+}
+
 // remoteQuery is one directory question: an axis ("i" by issuer, "s"
-// by subject) and a principal.
+// by subject) and a principal. key identifies it within a call.
 type remoteQuery struct {
 	axis string
 	prin principal.Principal
+	key  string
 }
 
-func (q remoteQuery) key() string { return q.axis + "|" + q.prin.Key() }
+func newQuery(axis string, n node) remoteQuery {
+	return remoteQuery{axis: axis, prin: n.prin, key: axis + "|" + n.key}
+}
 
-// negKey is the negative-cache key for q under a search tag. The tag
-// must qualify the key: filtered sources answer "nothing for THIS
-// tag", so an empty reply to (issuer, tag A) says nothing about
-// (issuer, tag B) — caching it tag-blind would suppress the B query
-// and fail proofs whose certificates are sitting in the directory.
-func (q remoteQuery) negKey(want tag.Tag) string {
-	return q.key() + "|" + string(want.Sexp().Canonical())
+// negKey is the negative-cache key for q under a search tag (wantKey,
+// the tag's canonical form). The tag must qualify the key: filtered
+// sources answer "nothing for THIS tag", so an empty reply to (issuer,
+// tag A) says nothing about (issuer, tag B) — caching it tag-blind
+// would suppress the B query and fail proofs whose certificates are
+// sitting in the directory.
+func (q remoteQuery) negKey(wantKey string) string {
+	return q.key + "|" + wantKey
 }
 
 // remoteAnswer collects the merged replies to one query. answered is
@@ -114,12 +126,22 @@ type remoteAnswer struct {
 }
 
 // findRemote runs bounded fetch-then-research rounds after a local
-// miss. Each round queries the directories for the current search
-// frontier (every principal reachable backwards from the issuer,
-// plus the target subject), digests verified answers as graph edges,
-// and re-runs the local search; the frontier grows at least one hop
-// per productive round, so a k-hop remote chain needs at most k
-// rounds. No prover lock is held across network fetches.
+// miss, searching from both ends of the missing chain:
+//
+//   - the issuer side is the local frontier reachable backwards from
+//     the issuer (reachable), asked by issuer;
+//   - the subject side starts at the subject (plus the quotes its
+//     closures stand in for, see subjectSeeds) and grows by the issuers
+//     of verified subject-axis answers, asked by subject.
+//
+// Each round asks only the side with fewer unasked principals (both on
+// a tie, the other once one side runs dry), digests verified answers
+// as graph edges, and re-runs the local search. A chain through an
+// issuer with wide fan-out is thus found from its narrow end, one
+// question per hop rather than one per sibling. A fruitless round does
+// not end the search while the other side has questions left; the
+// per-call asked set guarantees termination. Unverified answers never
+// steer a query, and no prover lock is held across network fetches.
 func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Principal, want tag.Tag, now time.Time, localErr error) (core.Proof, error) {
 	budget := p.RemoteFanout
 	if budget <= 0 {
@@ -129,13 +151,25 @@ func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Princ
 	if rounds <= 0 {
 		rounds = DefaultRemoteRounds
 	}
-	asked := make(map[string]bool) // queries spent during this call
+	wantKey := string(want.Sexp().Canonical())
+	asked := make(map[string]bool) // queries spent (or negative-cached) during this call
+	subjects := p.subjectSeeds(subject)
+	onSubjectSide := make(map[string]bool, len(subjects))
+	for _, n := range subjects {
+		onSubjectSide[n.key] = true
+	}
 	err := localErr
 	for round := 0; round < rounds && budget > 0; round++ {
-		frontier := p.reachable(issuer, want, now)
-		queries := p.planQueries(frontier, subject, want, now, asked, &budget)
+		queries := p.planRound(p.reachable(issuer, want, now), subjects, wantKey, now, asked)
 		if len(queries) == 0 {
 			break
+		}
+		if len(queries) > budget {
+			queries = queries[:budget]
+		}
+		budget -= len(queries)
+		for _, q := range queries {
+			asked[q.key] = true
 		}
 		p.rmu.Lock()
 		remotes := append([]RemoteSource(nil), p.remotes...)
@@ -147,14 +181,31 @@ func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Princ
 		for i, q := range queries {
 			if len(answers[i].proofs) == 0 {
 				if answers[i].answered {
-					p.cacheNegative(q.negKey(want), now)
+					p.cacheNegative(q.negKey(wantKey), now)
 				}
 				continue
 			}
-			added += p.digestRemote(answers[i].proofs, now)
+			n, verified := p.digestRemote(answers[i].proofs, now)
+			added += n
+			if q.axis != "s" {
+				continue
+			}
+			// Only verified delegations that answer the question asked
+			// — subject q.prin, covering want, valid now — extend the
+			// subject side.
+			for _, pr := range verified {
+				c := pr.Conclusion()
+				if !principal.Equal(c.Subject, q.prin) || !tag.Covers(c.Tag, want) || !c.Validity.Contains(now) {
+					continue
+				}
+				if k := c.Issuer.Key(); !onSubjectSide[k] {
+					onSubjectSide[k] = true
+					subjects = append(subjects, node{prin: c.Issuer, key: k})
+				}
+			}
 		}
 		if added == 0 {
-			break
+			continue
 		}
 		var proof core.Proof
 		proof, err = p.find(subject, issuer, want, now, p.MaxDepth)
@@ -165,32 +216,70 @@ func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Princ
 	return nil, err
 }
 
-// planQueries chooses this round's directory questions: the
-// issuer-side frontier in BFS order, then the subject itself, skipping
-// questions already asked this call or freshly answered empty.
-func (p *Prover) planQueries(frontier []principal.Principal, subject principal.Principal, want tag.Tag, now time.Time, asked map[string]bool, budget *int) []remoteQuery {
+// subjectSeeds is where the subject side starts: the subject itself
+// and, when it is a quote X|C, Y|C for every principal Y the prover
+// holds a closure for. find's quoting reduction already proves
+// X|C => Y|C by minting X => Y, so a directory delegation from any Y|C
+// completes the chain as well as one from X|C. Seeds past the subject
+// are sorted by key, so a fanout-truncated round is deterministic.
+func (p *Prover) subjectSeeds(subject principal.Principal) []node {
+	seeds := []node{{prin: subject, key: subject.Key()}}
+	sq, ok := subject.(principal.Quote)
+	if !ok {
+		return seeds
+	}
+	p.cmu.RLock()
+	for _, c := range p.closures {
+		y := principal.QuoteOf(c.Principal(), sq.Quotee)
+		if k := y.Key(); k != seeds[0].key {
+			seeds = append(seeds, node{prin: y, key: k})
+		}
+	}
+	p.cmu.RUnlock()
+	rest := seeds[1:]
+	sort.Slice(rest, func(i, j int) bool { return rest[i].key < rest[j].key })
+	return seeds
+}
+
+// planRound chooses this round's directory questions: the unasked
+// principals of whichever side has fewer, both sides on a tie (issuer
+// side first), and the other side once one has none left. A question
+// answered empty within the negative TTL counts as asked.
+func (p *Prover) planRound(frontier, subjects []node, wantKey string, now time.Time, asked map[string]bool) []remoteQuery {
+	iq := p.unasked("i", frontier, wantKey, now, asked)
+	sq := p.unasked("s", subjects, wantKey, now, asked)
+	switch {
+	case len(sq) == 0 || (len(iq) > 0 && len(iq) < len(sq)):
+		return iq
+	case len(iq) == 0 || len(sq) < len(iq):
+		return sq
+	}
+	return append(iq, sq...)
+}
+
+// unasked returns the questions about nodes on one axis that this call
+// has not spent and the negative cache does not suppress; suppressed
+// questions are marked asked so they are counted once per call.
+func (p *Prover) unasked(axis string, nodes []node, wantKey string, now time.Time, asked map[string]bool) []remoteQuery {
 	p.rmu.Lock()
 	defer p.rmu.Unlock()
 	var out []remoteQuery
-	add := func(q remoteQuery) {
-		if *budget <= 0 || asked[q.key()] {
-			return
+	for _, n := range nodes {
+		q := newQuery(axis, n)
+		if asked[q.key] {
+			continue
 		}
-		if t, ok := p.negCache[q.negKey(want)]; ok {
+		nk := q.negKey(wantKey)
+		if t, ok := p.negCache[nk]; ok {
 			if now.Sub(t) < p.negTTL() {
 				p.stats.negCacheHits.Add(1)
-				return
+				asked[q.key] = true
+				continue
 			}
-			delete(p.negCache, q.negKey(want))
+			delete(p.negCache, nk)
 		}
-		asked[q.key()] = true
-		*budget--
 		out = append(out, q)
 	}
-	for _, node := range frontier {
-		add(remoteQuery{axis: "i", prin: node})
-	}
-	add(remoteQuery{axis: "s", prin: subject})
 	return out
 }
 
@@ -198,23 +287,24 @@ func (p *Prover) planQueries(frontier []principal.Principal, subject principal.P
 // through usable edges (the BFS frontier of find), in BFS order
 // starting at the issuer itself. It reads per-shard snapshots, like
 // the search it mirrors.
-func (p *Prover) reachable(issuer principal.Principal, want tag.Tag, now time.Time) []principal.Principal {
-	visited := map[string]bool{issuer.Key(): true}
-	order := []principal.Principal{issuer}
+func (p *Prover) reachable(issuer principal.Principal, want tag.Tag, now time.Time) []node {
+	ik := issuer.Key()
+	visited := map[string]bool{ik: true}
+	order := []node{{prin: issuer, key: ik}}
 	for i := 0; i < len(order); i++ {
-		for _, e := range p.edgesFor(order[i].Key(), want) {
+		for _, e := range p.edgesFor(order[i].key, want) {
 			if p.DisableShortcuts && e.shortcut {
 				continue
 			}
-			if visited[e.subject.Key()] {
+			if visited[e.subjectKey] {
 				continue
 			}
 			ec := e.proof.Conclusion()
 			if !tag.Covers(ec.Tag, want) || !ec.Validity.Contains(now) {
 				continue
 			}
-			visited[e.subject.Key()] = true
-			order = append(order, e.subject)
+			visited[e.subjectKey] = true
+			order = append(order, node{prin: e.subject, key: e.subjectKey})
 		}
 	}
 	return order
@@ -278,18 +368,18 @@ func (p *Prover) remoteLimit() int {
 }
 
 // digestRemote verifies fetched proofs and installs the good ones as
-// graph edges, returning how many were new. Verification consults the
+// graph edges, returning how many were new and every proof that
+// verified (new or already known). Verification consults the
 // shared verified-proof cache: a delegation fetched by several
 // concurrent searches (or previously screened by another layer) costs
 // one signature check process-wide.
-func (p *Prover) digestRemote(proofs []core.Proof, now time.Time) int {
+func (p *Prover) digestRemote(proofs []core.Proof, now time.Time) (added int, verified []core.Proof) {
 	ctx := core.NewVerifyContext()
 	ctx.Now = now
 	ctx.Cache = core.SharedProofCache()
 	// Revalidation demands are deferred to the relying verifier; the
 	// prover only screens out proofs that can never verify.
 	ctx.Revalidate = func([]byte, string) error { return nil }
-	added := 0
 	for _, pr := range proofs {
 		if pr == nil {
 			continue
@@ -298,12 +388,13 @@ func (p *Prover) digestRemote(proofs []core.Proof, now time.Time) int {
 			p.stats.remoteRejected.Add(1)
 			continue
 		}
+		verified = append(verified, pr)
 		if p.addEdge(pr, false) {
 			added++
 			p.stats.remoteCerts.Add(1)
 		}
 	}
-	return added
+	return added, verified
 }
 
 func (p *Prover) negTTL() time.Duration {

@@ -20,6 +20,7 @@ type fakeSource struct {
 	byIssuer  map[string][]core.Proof
 	bySubject map[string][]core.Proof
 	queries   int
+	asked     []string // "i|" or "s|" plus the principal's key, in arrival order
 	err       error
 }
 
@@ -42,10 +43,23 @@ func (f *fakeSource) queryCount() int {
 	return f.queries
 }
 
+// wasAsked reports whether any query on axis ("i" or "s") named p.
+func (f *fakeSource) wasAsked(axis string, p principal.Principal) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, q := range f.asked {
+		if q == axis+"|"+p.Key() {
+			return true
+		}
+	}
+	return false
+}
+
 func (f *fakeSource) ByIssuer(p principal.Principal) ([]core.Proof, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.queries++
+	f.asked = append(f.asked, "i|"+p.Key())
 	return f.byIssuer[p.Key()], f.err
 }
 
@@ -53,6 +67,7 @@ func (f *fakeSource) BySubject(p principal.Principal) ([]core.Proof, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.queries++
+	f.asked = append(f.asked, "s|"+p.Key())
 	return f.bySubject[p.Key()], f.err
 }
 

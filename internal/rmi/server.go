@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"reflect"
 	"sync"
 	"time"
@@ -59,7 +60,7 @@ type Server struct {
 	// proofs caches verified proofs by subject principal key — the
 	// "cache/proof" box of Figure 4. Entries are only ever inserted
 	// after full verification.
-	proofs map[string][]core.Proof
+	proofs filedProofs
 	// vctx holds the persistent verification context; its local memo
 	// is discarded on every proof-cache epoch bump so revoked chains
 	// re-verify.
@@ -97,13 +98,16 @@ type Server struct {
 	// Audit receives one Decision per checkAuth prologue; nil
 	// disables the audit trail.
 	Audit *obs.AuditLog
+	// Logf reports connections Serve drops without stopping (failed
+	// handshakes); nil means log.Printf.
+	Logf func(format string, args ...any)
 }
 
 // NewServer returns an empty server.
 func NewServer() *Server {
 	return &Server{
 		objects: make(map[string]*object),
-		proofs:  make(map[string][]core.Proof),
+		proofs:  newFiledProofs(),
 	}
 }
 
@@ -166,15 +170,29 @@ func suitableMethod(m reflect.Method) bool {
 	return mt.Out(0) == reflect.TypeOf((*error)(nil)).Elem()
 }
 
-// Serve accepts connections until the listener fails.
+// Serve accepts connections until the listener fails. A connection
+// whose handshake fails (a port probe, a peer speaking another
+// protocol) is logged and dropped; only a listener failure ends Serve.
 func (s *Server) Serve(l channel.Listener) error {
 	for {
 		conn, err := l.Accept()
+		if errors.Is(err, channel.ErrHandshake) {
+			s.logf("rmi: dropped connection: %v", err)
+			continue
+		}
 		if err != nil {
 			return err
 		}
 		go s.ServeConn(conn)
 	}
+}
+
+func (s *Server) logf(format string, args ...any) {
+	if s.Logf != nil {
+		s.Logf(format, args...)
+		return
+	}
+	log.Printf(format, args...)
 }
 
 // ServeConn dispatches one connection; it returns when the peer
@@ -216,12 +234,15 @@ func (s *Server) ServeConn(conn channel.Conn) {
 		}
 		s.inflight.Add(1)
 		s.mu.Unlock()
-		resp := s.dispatch(conn, &req)
-		s.inflight.Done()
-		if err := enc.Encode(resp); err != nil {
-			return
+		// The call stays in flight until its reply is flushed: Drain
+		// closes connections once inflight reaches zero, and must not
+		// cut a reply that is still being written.
+		err := enc.Encode(s.dispatch(conn, &req))
+		if err == nil {
+			err = bw.Flush()
 		}
-		if err := bw.Flush(); err != nil {
+		s.inflight.Done()
+		if err != nil {
 			return
 		}
 	}
@@ -397,9 +418,9 @@ func (s *Server) checkAuth(speaker, issuer principal.Principal, reqTag tag.Tag) 
 	defer s.mu.Unlock()
 	s.stats.AuthChecks++
 	ctx := s.verifyContextLocked()
-	for _, p := range s.proofs[speaker.Key()] {
-		if err := core.Authorize(ctx, p, speaker, issuer, reqTag); err == nil {
-			return p, nil
+	for _, fp := range s.proofs.get(speaker.Key()) {
+		if err := core.Authorize(ctx, fp.proof, speaker, issuer, reqTag); err == nil {
+			return fp.proof, nil
 		}
 	}
 	s.stats.AuthFailures++
@@ -510,14 +531,16 @@ func (s *Server) AcceptProof(raw []byte) error {
 	// one aggregate signature pass instead of one check per delegation
 	// in the chain. Portable verdicts land in the shared proof cache,
 	// so later authorization walks over the filed proof are cache
-	// hits; the lock below guards only the map append.
-	if err := cert.VerifyChain(s.verifyContext(), p); err != nil {
+	// hits; the lock below guards only filing the proof.
+	vctx := s.verifyContext()
+	if err := cert.VerifyChain(vctx, p); err != nil {
 		return fmt.Errorf("rmi: proof does not verify: %w", err)
 	}
-	subj := p.Conclusion().Subject.Key()
+	c := p.Conclusion()
+	subj := c.Subject.Key()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.proofs[subj] = append(s.proofs[subj], p)
+	s.proofs.add(subj, p, c.Validity.NotAfter, vctx.Now)
 	return nil
 }
 
@@ -527,7 +550,7 @@ func (s *Server) AcceptProof(raw []byte) error {
 func (s *Server) ForgetProofs() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.proofs = make(map[string][]core.Proof)
+	s.proofs = newFiledProofs()
 	s.vctx.Reset()
 }
 

@@ -150,8 +150,12 @@ func (rt *Runtime) Serve(addr string, h http.Handler) (string, error) {
 // ShutdownTimeout) before the channels are torn down, so a client
 // mid-call sees its reply, not a reset. Replaces the daemons'
 // hand-rolled close-the-listener-in-a-hook pattern, which dropped
-// in-flight calls.
+// in-flight calls. Connections dropped for a failed handshake are
+// logged through the runtime unless srv.Logf is already set.
 func (rt *Runtime) ServeRMI(l channel.Listener, srv *rmi.Server) {
+	if srv.Logf == nil {
+		srv.Logf = rt.Printf
+	}
 	rt.wg.Add(2)
 	go func() {
 		defer rt.wg.Done()

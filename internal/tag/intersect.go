@@ -210,6 +210,11 @@ func Covers(t, u Tag) bool {
 // request tag r; identical to Covers but named for call-site clarity.
 func CoversRequest(t, r Tag) bool { return Covers(t, r) }
 
+// starElem is the (*) that stands in for a shorter list's missing
+// trailing elements in covers. Expressions are immutable, so one value
+// serves every comparison.
+var starElem = starExpr()
+
 func covers(a, b sexp.Sexp) bool {
 	if a == nil || b == nil {
 		return false
@@ -271,14 +276,13 @@ func covers(a, b sexp.Sexp) bool {
 		if b.Len() > n {
 			n = b.Len()
 		}
-		star := starExpr()
 		for i := 0; i < n; i++ {
 			ea, eb := a.Nth(i), b.Nth(i)
 			if ea == nil {
-				ea = star
+				ea = starElem
 			}
 			if eb == nil {
-				eb = star
+				eb = starElem
 			}
 			if !covers(ea, eb) {
 				return false
