@@ -11,8 +11,8 @@ import (
 // replay, gossip verify-before-index, proof-chain verification) hand
 // their certificates here instead of calling Verify one at a time.
 // The signature stage — the expensive part — runs through one
-// sfkey.BatchVerifier (aggregate pass over a worker pool, bisection
-// on failure); everything contextual (issuer rooting, revocation,
+// sfkey.BatchVerifier (one check per signature over a worker pool);
+// everything contextual (issuer rooting, revocation,
 // revalidation) still runs per certificate against the given context,
 // and every verdict lands in the context's memo and the shared proof
 // cache exactly as an individual Verify would leave it. A caller that

@@ -208,9 +208,9 @@ func (s *RevocationStore) AddNew(rl *RevocationList) (added bool, err error) {
 
 // AddNewBatch installs many CRLs at once, with the two costs that
 // scale badly per-list amortized across the batch: the signature
-// checks run through one sfkey.BatchVerifier (aggregate pass, with
-// bisection pinpointing any bad list instead of condemning the
-// batch), and however many lists are newly installed, attached proof
+// checks run through one sfkey.BatchVerifier (one check per list over
+// a worker pool, so a bad list is pinpointed instead of condemning
+// the batch), and however many lists are newly installed, attached proof
 // caches are flushed by ONE epoch bump — k CRLs arriving in a gossip
 // round no longer cost k full cache flushes. Outcomes are reported
 // per list, aligned with rls: added[i] true for newly installed

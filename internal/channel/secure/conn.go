@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/channel"
@@ -206,10 +207,28 @@ func (d Dialer) Dial(addr string) (channel.Conn, error) {
 	return Client(raw, d.ID)
 }
 
+// handshakeTimeout bounds the server handshake: a peer that connects
+// and then stalls holds its handshake goroutine and socket this long
+// at most.
+const handshakeTimeout = 10 * time.Second
+
 // Listener accepts TCP connections and runs the server handshake.
+// Each handshake runs on its own goroutine, so a peer that connects
+// and sends nothing delays only its own connection, never the next
+// Accept.
 type Listener struct {
 	ID *Identity
 	L  net.Listener
+
+	start  sync.Once
+	ready  chan accepted // finished handshakes, handed to Accept
+	closed chan struct{} // closed once the accept loop has exited
+	err    error         // why the accept loop exited; read after closed
+}
+
+type accepted struct {
+	c   channel.Conn
+	err error
 }
 
 // Listen starts a secure listener on addr.
@@ -224,20 +243,65 @@ func Listen(addr string, id *Identity) (*Listener, error) {
 // Accept implements channel.Listener. A failed handshake closes that
 // connection and returns an error wrapping channel.ErrHandshake.
 func (l *Listener) Accept() (channel.Conn, error) {
-	raw, err := l.L.Accept()
-	if err != nil {
-		return nil, err
+	l.start.Do(l.run)
+	select {
+	case a := <-l.ready:
+		return a.c, a.err
+	case <-l.closed:
+		return nil, l.err
 	}
-	peer := raw.RemoteAddr()
-	c, err := Server(raw, l.ID)
-	if err != nil {
-		return nil, fmt.Errorf("%w with %s: %w", channel.ErrHandshake, peer, err)
-	}
-	return c, nil
 }
 
-// Close implements channel.Listener.
-func (l *Listener) Close() error { return l.L.Close() }
+// run starts the accept loop; it ends when the underlying listener
+// fails or is closed.
+func (l *Listener) run() {
+	l.ready = make(chan accepted)
+	l.closed = make(chan struct{})
+	go func() {
+		for {
+			raw, err := l.L.Accept()
+			if err != nil {
+				l.err = err
+				close(l.closed)
+				return
+			}
+			go l.handshake(raw)
+		}
+	}()
+}
+
+// handshake runs the server handshake on raw under handshakeTimeout
+// and hands the outcome to Accept, or drops it once the listener is
+// closed.
+func (l *Listener) handshake(raw net.Conn) {
+	peer := raw.RemoteAddr()
+	// SetDeadline fails only on a closed socket, which the handshake
+	// then fails on too.
+	_ = raw.SetDeadline(time.Now().Add(handshakeTimeout))
+	var a accepted
+	if c, err := Server(raw, l.ID); err != nil {
+		a.err = fmt.Errorf("%w with %s: %w", channel.ErrHandshake, peer, err)
+	} else {
+		_ = raw.SetDeadline(time.Time{})
+		a.c = c
+	}
+	select {
+	case l.ready <- a:
+	case <-l.closed:
+		if a.c != nil {
+			a.c.Close()
+		}
+	}
+}
+
+// Close implements channel.Listener. It returns once the accept loop
+// has exited; handshakes still in progress drop their connections.
+func (l *Listener) Close() error {
+	l.start.Do(l.run)
+	err := l.L.Close()
+	<-l.closed
+	return err
+}
 
 // Addr implements channel.Listener.
 func (l *Listener) Addr() net.Addr { return l.L.Addr() }

@@ -71,6 +71,8 @@ type Stats struct {
 	NegCacheEvicted int // fresh negative entries displaced by newer ones (cache overflow)
 	Invalidated     int // edges dropped by directory invalidation events
 	EventResets     int // subscription stream resets (coarse invalidation fallback)
+
+	EdgesScanned int // candidate edges the tag-bucket index returned to searches
 }
 
 // counters is the internal, concurrency-safe form of Stats.
@@ -90,6 +92,8 @@ type counters struct {
 	negCacheEvicted atomic.Int64
 	invalidated     atomic.Int64
 	eventResets     atomic.Int64
+
+	edgesScanned atomic.Int64
 }
 
 // DefaultEdgeShards is the shard count of the delegation graph's
@@ -109,15 +113,17 @@ type edgeShard struct {
 }
 
 // edgeSet holds one issuer's incoming edges twice over: the full
-// insertion-order slice, and a tag-bucket index so a search for a
-// specific tag scans only the edges that could cover it (same
-// tag.Bucket key) plus the catch-all tail (star forms and other
-// unbucketable grants). A hot issuer with thousands of disjoint
-// literal grants costs a lookup its own bucket, not the whole fan-in.
+// insertion-order slice, and a two-level tag-bucket index so a search
+// for a specific tag scans only the edges that could cover it (the
+// query's head and fine tag.Bucket keys) plus the catch-all tail
+// (star forms and other keyless grants). A hot issuer with thousands
+// of per-principal grants such as (db (owner u42)) costs a lookup its
+// own fine bucket and the head bucket's broad grants, not the whole
+// fan-in.
 type edgeSet struct {
 	all      []*edge            // every edge, insertion order
-	buckets  map[string][]*edge // tag bucket -> bucketable edges
-	catchAll []*edge            // edges whose tags span buckets
+	buckets  map[string][]*edge // grant bucket key -> keyed edges
+	catchAll []*edge            // edges whose tags have no bucket key
 }
 
 func (es *edgeSet) add(e *edge) {
@@ -214,7 +220,7 @@ type edge struct {
 	shortcut   bool
 	hash       [32]byte
 	expiry     time.Time // conclusion's NotAfter; zero when unbounded
-	bucket     string    // conclusion tag's bucket key, when bucketed
+	bucket     string    // conclusion tag's grant bucket key, when bucketed
 	bucketed   bool
 }
 
@@ -276,7 +282,7 @@ func (p *Prover) addEdge(pr core.Proof, shortcut bool) bool {
 		subject: c.Subject, issuer: c.Issuer, subjectKey: c.Subject.Key(), proof: pr,
 		shortcut: shortcut, hash: h, expiry: c.Validity.NotAfter,
 	}
-	e.bucket, e.bucketed = c.Tag.Bucket()
+	e.bucket, e.bucketed = c.Tag.Bucket().Key()
 	sh := p.shardFor(ik)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -294,13 +300,13 @@ func (p *Prover) addEdge(pr core.Proof, shortcut bool) bool {
 }
 
 // edgesFor returns a snapshot of the edges into the given issuer that
-// could cover want: the bucket matching want's tag plus the catch-all
-// tail, or the full fan-in when want itself is unbucketable. The copy
-// is taken under the shard's read lock, so BFS walks a consistent
-// slice while writers append concurrently. Bucket narrowing is sound,
-// not just fast: tag.Bucket guarantees a covering grant shares the
-// query's bucket or lives in the catch-all.
-func (p *Prover) edgesFor(issuerKey string, want tag.Tag) []*edge {
+// could cover a query in bucket want: the query's fine and head
+// buckets plus the catch-all tail, or the full fan-in when want scans
+// it. The copy is taken under the shard's read lock, so BFS walks a
+// consistent slice while writers append concurrently. Bucket
+// narrowing is sound, not just fast: tag.Bucket guarantees a covering
+// grant lives in one of the query's buckets or in the catch-all.
+func (p *Prover) edgesFor(issuerKey string, want tag.Bucket) []*edge {
 	sh := p.shardFor(issuerKey)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -308,19 +314,23 @@ func (p *Prover) edgesFor(issuerKey string, want tag.Tag) []*edge {
 	if es == nil {
 		return nil
 	}
-	b, ok := want.Bucket()
-	if !ok {
-		if len(es.all) == 0 {
-			return nil
-		}
+	if want.ScanAll {
+		p.stats.edgesScanned.Add(int64(len(es.all)))
 		return append([]*edge(nil), es.all...)
 	}
-	bs := es.buckets[b]
-	if len(bs)+len(es.catchAll) == 0 {
+	var fine []*edge
+	if want.HasFine {
+		fine = es.buckets[want.Fine]
+	}
+	head := es.buckets[want.Head]
+	n := len(fine) + len(head) + len(es.catchAll)
+	if n == 0 {
 		return nil
 	}
-	out := make([]*edge, 0, len(bs)+len(es.catchAll))
-	out = append(out, bs...)
+	p.stats.edgesScanned.Add(int64(n))
+	out := make([]*edge, 0, n)
+	out = append(out, fine...)
+	out = append(out, head...)
 	return append(out, es.catchAll...)
 }
 
@@ -341,6 +351,8 @@ func (p *Prover) Stats() Stats {
 		NegCacheEvicted: int(p.stats.negCacheEvicted.Load()),
 		Invalidated:     int(p.stats.invalidated.Load()),
 		EventResets:     int(p.stats.eventResets.Load()),
+
+		EdgesScanned: int(p.stats.edgesScanned.Load()),
 	}
 }
 
@@ -463,6 +475,7 @@ func (p *Prover) find(subject, issuer principal.Principal, want tag.Tag, now tim
 		hops int
 	}
 	subjectKey, issuerKey := subject.Key(), issuer.Key()
+	wantBucket := want.Bucket()
 	visited := map[string]bool{issuerKey: true}
 	queue := []reach{{node: issuer, key: issuerKey}}
 
@@ -559,7 +572,7 @@ func (p *Prover) find(subject, issuer principal.Principal, want tag.Tag, now tim
 			}
 			return proof, nil
 		}
-		for _, e := range p.edgesFor(cur.key, want) {
+		for _, e := range p.edgesFor(cur.key, wantBucket) {
 			if p.DisableShortcuts && e.shortcut {
 				continue
 			}

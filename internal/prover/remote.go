@@ -289,10 +289,11 @@ func (p *Prover) unasked(axis string, nodes []node, wantKey string, now time.Tim
 // the search it mirrors.
 func (p *Prover) reachable(issuer principal.Principal, want tag.Tag, now time.Time) []node {
 	ik := issuer.Key()
+	wantBucket := want.Bucket()
 	visited := map[string]bool{ik: true}
 	order := []node{{prin: issuer, key: ik}}
 	for i := 0; i < len(order); i++ {
-		for _, e := range p.edgesFor(order[i].key, want) {
+		for _, e := range p.edgesFor(order[i].key, wantBucket) {
 			if p.DisableShortcuts && e.shortcut {
 				continue
 			}

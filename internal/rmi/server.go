@@ -527,9 +527,8 @@ func (s *Server) AcceptProof(raw []byte) error {
 	s.stats.ProofSubmits++
 	s.stats.ProofVerifies++
 	s.mu.Unlock()
-	// Chain verify outside s.mu, with the certificate leaves batched:
-	// one aggregate signature pass instead of one check per delegation
-	// in the chain. Portable verdicts land in the shared proof cache,
+	// Chain verify outside s.mu, with the certificate leaves' signature
+	// checks batched across the verifier's worker pool. Portable verdicts land in the shared proof cache,
 	// so later authorization walks over the filed proof are cache
 	// hits; the lock below guards only filing the proof.
 	vctx := s.verifyContext()

@@ -183,6 +183,7 @@ func ProverCollector(pv *prover.Prover) Collector {
 		st := pv.Stats()
 		emit(Gauge("sf_prover_edges", "Delegation-graph edges currently held.", float64(pv.EdgeCount())))
 		emit(Counter("sf_prover_traversals_total", "FindProof traversals (including recursive).", float64(st.Traversals)))
+		emit(Counter("sf_prover_edges_scanned_total", "Candidate edges the tag-bucket index returned to proof searches.", float64(st.EdgesScanned)))
 		emit(Counter("sf_prover_minted_total", "Delegations minted through closures.", float64(st.Minted)))
 		emit(Counter("sf_prover_swept_total", "Expired edges evicted by Sweep.", float64(st.Swept)))
 		emit(Counter("sf_prover_swept_verdicts_total", "Cached verdicts evicted alongside swept edges.", float64(st.SweptVerdicts)))

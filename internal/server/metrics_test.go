@@ -88,7 +88,7 @@ func TestProverCollector(t *testing.T) {
 	m := NewMetrics()
 	m.Register(ProverCollector(pv))
 	out := scrape(t, m)
-	for _, want := range []string{"sf_prover_edges 0", "sf_prover_traversals_total 0"} {
+	for _, want := range []string{"sf_prover_edges 0", "sf_prover_traversals_total 0", "sf_prover_edges_scanned_total 0"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}

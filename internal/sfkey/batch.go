@@ -8,25 +8,19 @@ import (
 // BatchVerifier checks many Ed25519 signatures as one unit: the bulk
 // ingestion paths (WAL replay, gossip verify-before-index, CRL
 // install, proof-chain verification) collect their signature checks
-// here instead of verifying one by one. The all-valid case — the
-// overwhelmingly common one for a log this process wrote or a peer in
-// good standing — costs one aggregate pass; a failed aggregate falls
-// back to bisection, so the bad signatures are pinpointed individually
-// while the good majority is never blamed for them.
+// here instead of verifying one by one. Every item is verified exactly
+// once, so a batch of n costs n verifications however many of its
+// signatures are bad.
 //
-// The aggregate pass is split across a bounded worker pool (Workers;
-// GOMAXPROCS by default, inline on a single-CPU host), which is where
-// multi-core hosts get their bulk-verification speedup. Every
-// underlying signature check goes through PublicKey.Verify, so the
-// process-wide sig-verify counter stays honest: batched verifications
-// are counted exactly like individual ones.
+// The checks are split across a worker pool of GOMAXPROCS goroutines
+// (inline on a single-CPU host), which is where multi-core hosts get
+// their bulk-verification speedup. Every underlying signature check
+// goes through PublicKey.Verify, so the process-wide sig-verify
+// counter stays honest: batched verifications are counted exactly
+// like individual ones.
 //
 // The zero value is ready to use; it is not safe for concurrent use.
 type BatchVerifier struct {
-	// Workers bounds the aggregate pass's parallelism. 0 means
-	// GOMAXPROCS; 1 forces the inline serial path.
-	Workers int
-
 	items []batchItem
 }
 
@@ -52,95 +46,41 @@ func (b *BatchVerifier) Len() int { return len(b.items) }
 // Reset empties the verifier for reuse, keeping its backing storage.
 func (b *BatchVerifier) Reset() { b.items = b.items[:0] }
 
-// Verify checks every queued item and returns the indices (in Add
+// Verify checks every queued item once and returns the indices (in Add
 // order, ascending) of the invalid ones; nil means the whole batch is
-// valid. The batch is checked in aggregate first; only a failing
-// aggregate pays the bisection that pinpoints its bad items.
+// valid.
 func (b *BatchVerifier) Verify() (bad []int) {
 	n := len(b.items)
-	if n == 0 {
-		return nil
-	}
-	w := b.workers(n)
-	if w <= 1 || n < batchParallelMin {
-		if !b.aggregate(0, n) {
-			b.bisect(0, n, &bad)
+	w := runtime.GOMAXPROCS(0)
+	if w == 1 || n < batchParallelMin {
+		for i := range b.items {
+			if !b.items[i].verify() {
+				bad = append(bad, i)
+			}
 		}
 		return bad
 	}
-	// Parallel aggregate: each worker checks one contiguous chunk; the
-	// failed chunks (rare) are bisected serially afterwards.
+	// Each worker checks one contiguous chunk and marks its failures.
+	failed := make([]bool, n)
 	chunk := (n + w - 1) / w
-	failed := make([]bool, w)
 	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(k, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			failed[k] = !b.aggregate(lo, hi)
-		}(k, lo, hi)
+			for i := lo; i < hi; i++ {
+				failed[i] = !b.items[i].verify()
+			}
+		}(lo, hi)
 	}
 	wg.Wait()
-	for k := 0; k < w; k++ {
-		if !failed[k] {
-			continue
+	for i, f := range failed {
+		if f {
+			bad = append(bad, i)
 		}
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		b.bisect(lo, hi, &bad)
 	}
 	return bad
 }
 
-func (b *BatchVerifier) workers(n int) int {
-	w := b.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// aggregate checks items[lo:hi] as a unit: valid means every signature
-// verified, invalid says only that at least one did not.
-func (b *BatchVerifier) aggregate(lo, hi int) bool {
-	for i := lo; i < hi; i++ {
-		it := &b.items[i]
-		if !it.pub.Verify(it.msg, it.sig) {
-			return false
-		}
-	}
-	return true
-}
-
-// bisect pinpoints every invalid item in items[lo:hi], a range whose
-// aggregate check has already failed: split, re-aggregate each half,
-// and recurse into the halves that fail. A single bad signature in a
-// batch of n costs O(log n) extra aggregate passes, not a per-item
-// rescan of the whole batch.
-func (b *BatchVerifier) bisect(lo, hi int, bad *[]int) {
-	if hi-lo == 1 {
-		*bad = append(*bad, lo)
-		return
-	}
-	mid := lo + (hi-lo)/2
-	if !b.aggregate(lo, mid) {
-		b.bisect(lo, mid, bad)
-	}
-	if !b.aggregate(mid, hi) {
-		b.bisect(mid, hi, bad)
-	}
-}
+func (it *batchItem) verify() bool { return it.pub.Verify(it.msg, it.sig) }

@@ -222,29 +222,78 @@ func (t Tag) IsAll() bool {
 // Equal reports structural equality of two tags.
 func (t Tag) Equal(u Tag) bool { return sexp.Equal(t.expr, u.expr) }
 
-// Bucket returns a coarse partition key for tag indexes, such that for
-// any tags t and w, Covers(t, w) implies Bucket(t) == Bucket(w) or t
-// is unbucketable. An atom buckets by its bytes; a plain list with an
-// atom head buckets by the head (element-wise coverage forces equal
-// heads). Star forms and headless lists return ok=false: they can
-// cover tags across buckets, so an index must keep them in a
-// catch-all scanned on every lookup. Distinct tags may share a bucket
-// — the key narrows a candidate scan, it never decides coverage.
-func (t Tag) Bucket() (key string, ok bool) {
+// Bucket places a tag in a two-level tag index. An index files each
+// grant under its Key, or in a catch-all when it has none; a query
+// scans the grants filed under its Head and Fine keys plus the
+// catch-all, or the full fan-in when ScanAll is set.
+//
+// Head is the coarse key: an atom's bytes, or a plain list's head
+// atom. Fine is the finer key of a list (h (h1 a1 ...) ...) whose
+// element 1 is a plain list with atoms at positions 0 and 1: h, h1
+// and a1 joined by NUL bytes. Keys of distinct tags may collide; a
+// collision only widens a scan.
+//
+// Soundness contract: for any tags t and w, Covers(t, w) implies that
+// t is in the catch-all, or that w scans the full fan-in, or that t's
+// Key is w's Head or w's Fine key. Element-wise coverage forces a
+// covering list to share the covered list's head atom and, for a
+// fine-keyed grant, h1 and a1 as well, unless a star form sits at
+// one of those positions of w; such a w sets ScanAll. Buckets only
+// narrow the candidates; Covers still decides coverage.
+type Bucket struct {
+	Head    string
+	Fine    string
+	HasHead bool // false: a grant of this tag lives in the catch-all
+	HasFine bool
+	ScanAll bool // a query for this tag must scan the full fan-in
+}
+
+// Key returns the bucket an index files a grant of this tag under:
+// the fine key when there is one, otherwise the head key. ok=false
+// means the catch-all.
+func (b Bucket) Key() (key string, ok bool) {
+	if b.HasFine {
+		return b.Fine, true
+	}
+	return b.Head, b.HasHead
+}
+
+// Bucket returns t's place in a two-level tag index; see the Bucket
+// type for the keys and the soundness contract. Star forms and
+// headless lists have no head key, since they can cover tags with any
+// head.
+func (t Tag) Bucket() Bucket {
 	e := t.expr
 	if e == nil {
-		return "", false
+		return Bucket{ScanAll: true}
 	}
 	if e.IsAtom() {
-		return string(e.Bytes()), true
+		return Bucket{Head: string(e.Bytes()), HasHead: true}
 	}
-	if isStarForm(e) || e.Len() == 0 {
-		return "", false
+	if isStarForm(e) || e.Len() == 0 || !e.Nth(0).IsAtom() {
+		return Bucket{ScanAll: true}
 	}
-	if h := e.Nth(0); h.IsAtom() {
-		return string(h.Bytes()), true
+	h := e.Nth(0).Bytes()
+	b := Bucket{Head: string(h), HasHead: true}
+	if e.Len() < 2 || e.Nth(1).IsAtom() {
+		return b
 	}
-	return "", false
+	e1 := e.Nth(1)
+	if isStarForm(e1) {
+		b.ScanAll = true
+		return b
+	}
+	for i := 0; i < 2 && i < e1.Len(); i++ {
+		if isStarForm(e1.Nth(i)) {
+			b.ScanAll = true
+			return b
+		}
+	}
+	if e1.Len() >= 2 && e1.Nth(0).IsAtom() && e1.Nth(1).IsAtom() {
+		b.Fine = string(h) + "\x00" + string(e1.Nth(0).Bytes()) + "\x00" + string(e1.Nth(1).Bytes())
+		b.HasFine = true
+	}
+	return b
 }
 
 // Key returns a canonical map key for the tag.
